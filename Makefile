@@ -72,9 +72,9 @@ tenants-smoke:
 bench-baseline:
 	./scripts/bench_baseline.sh
 
-# Short N=2048 seq-vs-par benchmark pass over both force layouts with the
-# race detector on, plus the tree-reuse equivalence tests under race — a
-# correctness smoke for the benchmark harness and the flat kernels, not a
+# Short N=2048 seq-vs-par benchmark pass with the race detector on, plus
+# the tree-reuse equivalence tests under race — a correctness smoke for
+# the benchmark harness and the interaction-list kernels, not a
 # performance measurement (see scripts/bench_smoke.sh).
 bench-smoke:
 	./scripts/bench_smoke.sh

@@ -26,9 +26,6 @@ type TreeReuseConfig struct {
 type SessionConfig struct {
 	// Algorithm is the force solver ("octree", "bvh", "all-pairs", ...).
 	Algorithm string `json:"algorithm,omitempty"`
-	// Layout is the force-evaluation data path: "flat" (interaction
-	// lists, the default) or "walk" (per-body tree walks).
-	Layout string `json:"layout,omitempty"`
 	// DT is the integration timestep; required here or via the deprecated
 	// flat field.
 	DT float64 `json:"dt,omitempty"`
@@ -68,7 +65,6 @@ type ScenarioSpec struct {
 // field explicit.
 type EffectiveConfig struct {
 	Algorithm  string          `json:"algorithm"`
-	Layout     string          `json:"layout"`
 	DT         float64         `json:"dt"`
 	Theta      float64         `json:"theta"`
 	Eps        float64         `json:"eps"`
@@ -89,7 +85,6 @@ func (e EffectiveConfig) Request() *SessionConfig {
 	tr := e.TreeReuse
 	return &SessionConfig{
 		Algorithm:  e.Algorithm,
-		Layout:     e.Layout,
 		DT:         e.DT,
 		Theta:      Float64(e.Theta),
 		Eps:        Float64(e.Eps),

@@ -19,7 +19,7 @@ func TestCreateSessionConfigWire(t *testing.T) {
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusCreated)
 		io.WriteString(w, `{"id":"s-1","state":"idle","algorithm":"bvh","n":64,"dt":0.001,
-			"config":{"algorithm":"bvh","layout":"flat","dt":0.001,"theta":0.5,"eps":0,"g":1,
+			"config":{"algorithm":"bvh","dt":0.001,"theta":0.5,"eps":0,"g":1,
 			"sequential":false,"tree_reuse":{"rebuild_every":1,"refit_threshold":0.02}}}`)
 	}))
 	defer srv.Close()
@@ -58,7 +58,7 @@ func TestCreateSessionConfigWire(t *testing.T) {
 		}
 	}
 
-	if s.Config.Algorithm != "bvh" || s.Config.Layout != "flat" || s.Config.Eps != 0 ||
+	if s.Config.Algorithm != "bvh" || s.Config.Eps != 0 ||
 		s.Config.TreeReuse.RefitThreshold != 0.02 {
 		t.Errorf("echoed config decoded as %+v", s.Config)
 	}
@@ -71,7 +71,6 @@ func TestCreateSessionConfigWire(t *testing.T) {
 func TestJobSpecRoundTrip(t *testing.T) {
 	eff := EffectiveConfig{
 		Algorithm:  "octree",
-		Layout:     "flat",
 		DT:         0.5,
 		Theta:      0.5,
 		Eps:        0, // explicit zero — the flat fields cannot carry this

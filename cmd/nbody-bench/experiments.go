@@ -56,16 +56,12 @@ func runFig5(fs *flag.FlagSet, args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	lay, err := c.coreLayout()
-	if err != nil {
-		return err
-	}
 	algs, err := parseAlgs(*algsFlag, core.Algorithms())
 	if err != nil {
 		return err
 	}
 
-	header("Figure 5 — sequential vs parallel throughput, galaxy (n=%d, layout=%v)", *n, lay)
+	header("Figure 5 — sequential vs parallel throughput, galaxy (n=%d)", *n)
 	base := galaxySystem(*n, *c.seed)
 	tb := metrics.NewTable("algorithm", "mode", "bodies/s", "ms/step", "speedup")
 	var groups []plot.BarGroup
@@ -74,7 +70,7 @@ func runFig5(fs *flag.FlagSet, args []string) error {
 		var seqTP float64
 		group := plot.BarGroup{Label: alg.String()}
 		for _, seq := range []bool{true, false} {
-			cfg := core.Config{Algorithm: alg, DT: galaxyDT, Sequential: seq, Layout: lay, Runtime: c.runtime(par.Dynamic)}
+			cfg := core.Config{Algorithm: alg, DT: galaxyDT, Sequential: seq, Runtime: c.runtime(par.Dynamic)}
 			m, err := measure(cfg, base, *c.steps, *c.repeats)
 			if err != nil {
 				return err
@@ -125,17 +121,13 @@ func runFig7(fs *flag.FlagSet, args []string) error {
 }
 
 func throughputFigure(c *common, n int, algs []core.Algorithm, banner string) error {
-	lay, err := c.coreLayout()
-	if err != nil {
-		return err
-	}
 	header(banner, n)
 	base := galaxySystem(n, *c.seed)
 	tb := metrics.NewTable("algorithm", "bodies/s", "ms/step")
 	var names []string
 	group := plot.BarGroup{Label: fmt.Sprintf("n=%d", n)}
 	for _, alg := range algs {
-		cfg := core.Config{Algorithm: alg, DT: galaxyDT, Layout: lay, Runtime: c.runtime(par.Dynamic)}
+		cfg := core.Config{Algorithm: alg, DT: galaxyDT, Runtime: c.runtime(par.Dynamic)}
 		m, err := measure(cfg, base, *c.steps, *c.repeats)
 		if err != nil {
 			return err
@@ -364,18 +356,9 @@ func runAblate(fs *flag.FlagSet, args []string) error {
 		{"criterion", "box-distance", core.Config{Algorithm: core.BVH, BVH: bvh.Config{Criterion: bvh.BoxDistance}}},
 		{"moments", "scatter (paper)", core.Config{Algorithm: core.Octree}},
 		{"moments", "gather", core.Config{Algorithm: core.Octree, Octree: octree.Config{GatherMoments: true}}},
-		// Walk layout pinned: under the flat default the octree presorts
-		// unconditionally and always uses the list kernel, which would
-		// collapse these variants into one.
-		{"presort", "unsorted insert (paper)", core.Config{Algorithm: core.Octree, Layout: core.LayoutWalk}},
-		{"presort", "morton presort", core.Config{Algorithm: core.Octree, Layout: core.LayoutWalk, Octree: octree.Config{PresortMorton: true}}},
-		{"traversal", "per-body (paper)", core.Config{Algorithm: core.Octree, Layout: core.LayoutWalk, Octree: octree.Config{PresortMorton: true}}},
-		{"traversal", "grouped (32)", core.Config{Algorithm: core.Octree, Layout: core.LayoutWalk, Octree: octree.Config{PresortMorton: true, GroupSize: 32}}},
-		{"traversal", "flat list (32)", core.Config{Algorithm: core.Octree}},
-		{"layout", "walk (paper)", core.Config{Algorithm: core.Octree, Layout: core.LayoutWalk, Octree: octree.Config{PresortMorton: true}}},
-		{"layout", "flat lists (octree)", core.Config{Algorithm: core.Octree}},
-		{"layout", "walk (bvh)", core.Config{Algorithm: core.BVH, Layout: core.LayoutWalk}},
-		{"layout", "flat lists (bvh)", core.Config{Algorithm: core.BVH}},
+		{"list-group", "16 bodies (octree)", core.Config{Algorithm: core.Octree, Octree: octree.Config{GroupSize: 16}}},
+		{"list-group", "32 bodies (octree)", core.Config{Algorithm: core.Octree}},
+		{"list-group", "64 bodies (octree)", core.Config{Algorithm: core.Octree, Octree: octree.Config{GroupSize: 64}}},
 		{"bvh-leaf", "1", core.Config{Algorithm: core.BVH, BVH: bvh.Config{LeafSize: 1}}},
 		{"bvh-leaf", "4", core.Config{Algorithm: core.BVH, BVH: bvh.Config{LeafSize: 4}}},
 		{"bvh-leaf", "16", core.Config{Algorithm: core.BVH, BVH: bvh.Config{LeafSize: 16}}},

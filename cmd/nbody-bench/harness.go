@@ -23,7 +23,6 @@ type common struct {
 	seed    *uint64
 	csv     *bool
 	svg     *string
-	layout  *string
 }
 
 func addCommon(fs *flag.FlagSet, defaultSteps int) *common {
@@ -34,12 +33,8 @@ func addCommon(fs *flag.FlagSet, defaultSteps int) *common {
 		seed:    fs.Uint64("seed", 42, "workload seed"),
 		csv:     fs.Bool("csv", false, "emit CSV instead of an aligned table"),
 		svg:     fs.String("svg", "", "additionally render the figure as SVG to this file"),
-		layout:  fs.String("layout", "flat", "force-evaluation layout: flat (interaction lists) or walk (per-body)"),
 	}
 }
-
-// coreLayout parses the -layout flag.
-func (c *common) coreLayout() (core.Layout, error) { return core.ParseLayout(*c.layout) }
 
 // parseAlgs resolves a comma-separated -algs value, or def when empty.
 func parseAlgs(spec string, def []core.Algorithm) ([]core.Algorithm, error) {

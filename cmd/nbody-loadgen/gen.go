@@ -77,8 +77,8 @@ type poolSession struct {
 // Unlike classStats it keeps no latencies: the per-tenant section exists
 // to show fairness (who got shed), not latency distributions.
 type tenantCounters struct {
-	mu                     sync.Mutex
-	sent, ok, shed, failed int
+	mu                                 sync.Mutex
+	sent, ok, shed, failed, contention int
 }
 
 func (t *tenantCounters) record(err error) {
@@ -88,6 +88,8 @@ func (t *tenantCounters) record(err error) {
 	switch {
 	case err == nil:
 		t.ok++
+	case errors.Is(err, errPoolExhausted):
+		t.contention++
 	case client.IsOverloaded(err):
 		t.shed++
 	default:
@@ -99,22 +101,24 @@ func (t *tenantCounters) record(err error) {
 // operations by outcome. The shed column is the fairness signal — under a
 // flooding neighbor a well-behaved tenant's sheds should stay near zero.
 type TenantReport struct {
-	Sent     int     `json:"sent"`
-	OK       int     `json:"ok"`
-	Shed     int     `json:"shed"`
-	Failed   int     `json:"failed"`
-	ShedRate float64 `json:"shed_rate"`
+	Sent       int     `json:"sent"`
+	OK         int     `json:"ok"`
+	Shed       int     `json:"shed"`
+	Failed     int     `json:"failed"`
+	Contention int     `json:"contention"`
+	ShedRate   float64 `json:"shed_rate"`
 }
 
 // classStats accumulates one traffic class's counters and client-side
 // latencies.
 type classStats struct {
-	mu        sync.Mutex
-	sent      int
-	ok        int
-	shed      int
-	failed    int
-	latencies []float64 // milliseconds, completed ops only (ok+shed+failed)
+	mu         sync.Mutex
+	sent       int
+	ok         int
+	shed       int
+	failed     int
+	contention int
+	latencies  []float64 // milliseconds, ops that reached the server only (ok+shed+failed)
 }
 
 // record classifies one completed operation and returns whether it was a
@@ -123,6 +127,10 @@ func (s *classStats) record(lat time.Duration, err error) (is5xx bool) {
 	ms := float64(lat) / float64(time.Millisecond)
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if errors.Is(err, errPoolExhausted) {
+		s.contention++
+		return false
+	}
 	s.latencies = append(s.latencies, ms)
 	switch {
 	case err == nil:
@@ -141,17 +149,18 @@ func (s *classStats) record(lat time.Duration, err error) (is5xx bool) {
 
 // ClassReport is the per-class section of the JSON report.
 type ClassReport struct {
-	Sent     int     `json:"sent"`
-	OK       int     `json:"ok"`
-	Shed     int     `json:"shed"`
-	Failed   int     `json:"failed"`
-	Dropped  int     `json:"dropped"`
-	ShedRate float64 `json:"shed_rate"`
-	P50Ms    float64 `json:"p50_ms"`
-	P95Ms    float64 `json:"p95_ms"`
-	P99Ms    float64 `json:"p99_ms"`
-	MeanMs   float64 `json:"mean_ms"`
-	MaxMs    float64 `json:"max_ms"`
+	Sent       int     `json:"sent"`
+	OK         int     `json:"ok"`
+	Shed       int     `json:"shed"`
+	Failed     int     `json:"failed"`
+	Contention int     `json:"contention"`
+	Dropped    int     `json:"dropped"`
+	ShedRate   float64 `json:"shed_rate"`
+	P50Ms      float64 `json:"p50_ms"`
+	P95Ms      float64 `json:"p95_ms"`
+	P99Ms      float64 `json:"p99_ms"`
+	MeanMs     float64 `json:"mean_ms"`
+	MaxMs      float64 `json:"max_ms"`
 }
 
 // Report is the loadgen's JSON output: client-observed service levels per
@@ -166,13 +175,14 @@ type Report struct {
 	// (multi-tenant runs only).
 	Tenants map[string]TenantReport `json:"tenants,omitempty"`
 	Totals  struct {
-		Sent      int     `json:"sent"`
-		OK        int     `json:"ok"`
-		Shed      int     `json:"shed"`
-		Failed    int     `json:"failed"`
-		Dropped   int     `json:"dropped"`
-		ShedRate  float64 `json:"shed_rate"`
-		Server5xx int     `json:"server_5xx"`
+		Sent       int     `json:"sent"`
+		OK         int     `json:"ok"`
+		Shed       int     `json:"shed"`
+		Failed     int     `json:"failed"`
+		Contention int     `json:"contention"`
+		Dropped    int     `json:"dropped"`
+		ShedRate   float64 `json:"shed_rate"`
+		Server5xx  int     `json:"server_5xx"`
 	} `json:"totals"`
 }
 
@@ -463,8 +473,9 @@ func (g *generator) execute(ctx context.Context, cl string, tc int, scen string)
 }
 
 // errPoolExhausted marks a step/watch arrival that found every pool
-// session busy — client-side contention, counted as failed (it never
-// reached the server, so it is neither ok nor shed).
+// session busy — client-side contention. It never reached the server, so
+// it is reported in its own contention column: neither ok, shed nor
+// failed, and without a latency sample.
 var errPoolExhausted = errors.New("session pool exhausted")
 
 func (g *generator) takeSession() (poolSession, bool) {
@@ -506,11 +517,12 @@ func (g *generator) report(elapsed time.Duration) Report {
 	for cl, st := range g.stats {
 		st.mu.Lock()
 		row := ClassReport{
-			Sent:    st.sent,
-			OK:      st.ok,
-			Shed:    st.shed,
-			Failed:  st.failed,
-			Dropped: *g.dropped[cl],
+			Sent:       st.sent,
+			OK:         st.ok,
+			Shed:       st.shed,
+			Failed:     st.failed,
+			Contention: st.contention,
+			Dropped:    *g.dropped[cl],
 		}
 		lats := append([]float64(nil), st.latencies...)
 		st.mu.Unlock()
@@ -534,6 +546,7 @@ func (g *generator) report(elapsed time.Duration) Report {
 		rep.Totals.OK += row.OK
 		rep.Totals.Shed += row.Shed
 		rep.Totals.Failed += row.Failed
+		rep.Totals.Contention += row.Contention
 		rep.Totals.Dropped += row.Dropped
 	}
 	if rep.Totals.Sent > 0 {
@@ -545,7 +558,7 @@ func (g *generator) report(elapsed time.Duration) Report {
 		rep.Tenants = make(map[string]TenantReport, len(g.tstats))
 		for name, tc := range g.tstats {
 			tc.mu.Lock()
-			row := TenantReport{Sent: tc.sent, OK: tc.ok, Shed: tc.shed, Failed: tc.failed}
+			row := TenantReport{Sent: tc.sent, OK: tc.ok, Shed: tc.shed, Failed: tc.failed, Contention: tc.contention}
 			tc.mu.Unlock()
 			if row.Sent > 0 {
 				row.ShedRate = float64(row.Shed) / float64(row.Sent)

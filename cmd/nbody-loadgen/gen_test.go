@@ -2,6 +2,8 @@ package main
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"net/http/httptest"
 	"testing"
 	"time"
@@ -53,8 +55,8 @@ func newSmokeServer(t *testing.T) *httptest.Server {
 
 // TestRunInvariants drives a short mixed load against a live in-process
 // service and checks the report's accounting: every dispatched request is
-// classified exactly once, so sent ≥ ok + shed + failed holds with
-// equality once all workers drained.
+// classified exactly once, so sent ≥ ok + shed + failed + contention
+// holds with equality once all workers drained.
 func TestRunInvariants(t *testing.T) {
 	srv := newSmokeServer(t)
 	c, err := client.New(srv.URL, client.WithRetries(0, 0, 0))
@@ -85,14 +87,14 @@ func TestRunInvariants(t *testing.T) {
 	if rep.Totals.Sent == 0 {
 		t.Fatal("no requests dispatched")
 	}
-	if got := rep.Totals.OK + rep.Totals.Shed + rep.Totals.Failed; rep.Totals.Sent < got {
-		t.Errorf("totals: sent %d < ok+shed+failed %d", rep.Totals.Sent, got)
+	if got := rep.Totals.OK + rep.Totals.Shed + rep.Totals.Failed + rep.Totals.Contention; rep.Totals.Sent < got {
+		t.Errorf("totals: sent %d < ok+shed+failed+contention %d", rep.Totals.Sent, got)
 	} else if rep.Totals.Sent != got {
-		t.Errorf("totals: sent %d != ok+shed+failed %d — some request finished unclassified", rep.Totals.Sent, got)
+		t.Errorf("totals: sent %d != ok+shed+failed+contention %d — some request finished unclassified", rep.Totals.Sent, got)
 	}
 	for cl, row := range rep.Classes {
-		if row.Sent != row.OK+row.Shed+row.Failed {
-			t.Errorf("class %s: sent %d != ok %d + shed %d + failed %d", cl, row.Sent, row.OK, row.Shed, row.Failed)
+		if row.Sent != row.OK+row.Shed+row.Failed+row.Contention {
+			t.Errorf("class %s: sent %d != ok %d + shed %d + failed %d + contention %d", cl, row.Sent, row.OK, row.Shed, row.Failed, row.Contention)
 		}
 		if row.Sent > 0 && (row.P50Ms < 0 || row.P99Ms < row.P50Ms || row.MaxMs < row.P99Ms) {
 			t.Errorf("class %s: inconsistent latency quantiles %+v", cl, row)
@@ -143,5 +145,27 @@ func TestPickClassDistribution(t *testing.T) {
 		if cl == classJob {
 			t.Fatal("zero-weight class survived mixSlices")
 		}
+	}
+}
+
+// TestContentionIsNotFailure checks the classification of a client-side
+// pool-exhaustion arrival: it counts as contention in the class and tenant
+// rows — never as failed — and contributes no latency sample.
+func TestContentionIsNotFailure(t *testing.T) {
+	var cs classStats
+	var tc tenantCounters
+	for _, err := range []error{nil, errPoolExhausted, fmt.Errorf("wrapped: %w", errPoolExhausted), errors.New("boom")} {
+		cs.sent++
+		cs.record(time.Millisecond, err)
+		tc.record(err)
+	}
+	if cs.ok != 1 || cs.contention != 2 || cs.failed != 1 || cs.shed != 0 {
+		t.Errorf("class counters ok=%d contention=%d failed=%d shed=%d, want 1/2/1/0", cs.ok, cs.contention, cs.failed, cs.shed)
+	}
+	if len(cs.latencies) != 2 {
+		t.Errorf("%d latency samples, want 2 (contention never reached the server)", len(cs.latencies))
+	}
+	if tc.sent != 4 || tc.ok != 1 || tc.contention != 2 || tc.failed != 1 {
+		t.Errorf("tenant counters sent=%d ok=%d contention=%d failed=%d, want 4/1/2/1", tc.sent, tc.ok, tc.contention, tc.failed)
 	}
 }

@@ -109,7 +109,11 @@ func main() {
 	fmt.Println("magnitude; the dual-tree trades accuracy for symmetric interactions.")
 }
 
+// runOctree evaluates forces the way core configures the octree: bodies
+// presorted along the Morton curve, interaction lists of default-size
+// groups.
 func runOctree(rt *par.Runtime, s *body.System, p grav.Params, cfg octree.Config) time.Duration {
+	cfg.PresortMorton = true
 	tree := octree.New(cfg)
 	box := bounds.OfPositions(rt, par.ParUnseq, s.PosX, s.PosY, s.PosZ)
 	if err := tree.Build(rt, s, box); err != nil {
@@ -117,7 +121,7 @@ func runOctree(rt *par.Runtime, s *body.System, p grav.Params, cfg octree.Config
 	}
 	tree.ComputeMoments(rt, s)
 	start := time.Now()
-	tree.Accelerations(rt, par.ParUnseq, s, p)
+	tree.AccelerationsList(rt, par.ParUnseq, s, p, 0)
 	return time.Since(start)
 }
 
@@ -126,7 +130,7 @@ func runBVH(rt *par.Runtime, s *body.System, p grav.Params, cfg bvh.Config) time
 	box := bounds.OfPositions(rt, par.ParUnseq, s.PosX, s.PosY, s.PosZ)
 	tree.Build(rt, par.ParUnseq, s, box)
 	start := time.Now()
-	tree.Accelerations(rt, par.ParUnseq, s, p)
+	tree.AccelerationsList(rt, par.ParUnseq, s, p, 0)
 	return time.Since(start)
 }
 

@@ -172,7 +172,7 @@ func TestForceExactWhenThetaZero(t *testing.T) {
 			// Reference computed after Build so both see the permuted order.
 			ref := s.Clone()
 			allpairs.AllPairs(r, par.ParUnseq, ref, p)
-			tree.Accelerations(r, par.ParUnseq, s, p)
+			tree.AccelerationsList(r, par.ParUnseq, s, p, 0)
 
 			for i := 0; i < n; i++ {
 				d := s.Acc(i).Sub(ref.Acc(i)).Norm()
@@ -193,7 +193,7 @@ func TestForceApproximationQuality(t *testing.T) {
 	tree := buildTree(t, Config{}, s, r)
 	ref := s.Clone()
 	allpairs.AllPairs(r, par.ParUnseq, ref, p)
-	tree.Accelerations(r, par.ParUnseq, s, p)
+	tree.AccelerationsList(r, par.ParUnseq, s, p, 0)
 
 	// Bodies whose net force nearly cancels have huge *relative* errors
 	// for any approximate method, so normalize by the field's mean
@@ -227,7 +227,7 @@ func TestForceErrorDecreasesWithTheta(t *testing.T) {
 	meanErr := func(theta float64) float64 {
 		p := grav.Params{G: 1, Eps: 1e-3, Theta: theta}
 		allpairs.AllPairs(r, par.ParUnseq, ref, p)
-		tree.Accelerations(r, par.ParUnseq, s, p)
+		tree.AccelerationsList(r, par.ParUnseq, s, p, 0)
 		var sum float64
 		for i := 0; i < n; i++ {
 			sum += s.Acc(i).Sub(ref.Acc(i)).Norm() / (ref.Acc(i).Norm() + 1e-12)
@@ -252,7 +252,7 @@ func TestBoxDistanceCriterionMoreAccurate(t *testing.T) {
 		tree := buildTree(t, Config{Criterion: crit}, s, r)
 		ref := s.Clone()
 		allpairs.AllPairs(r, par.ParUnseq, ref, p)
-		tree.Accelerations(r, par.ParUnseq, s, p)
+		tree.AccelerationsList(r, par.ParUnseq, s, p, 0)
 		var sum float64
 		for i := 0; i < n; i++ {
 			sum += s.Acc(i).Sub(ref.Acc(i)).Norm() / (ref.Acc(i).Norm() + 1e-12)
@@ -275,7 +275,7 @@ func TestBoxDistanceCriterionExactAtThetaZero(t *testing.T) {
 	tree := buildTree(t, Config{Criterion: BoxDistance}, s, r)
 	ref := s.Clone()
 	allpairs.AllPairs(r, par.ParUnseq, ref, p)
-	tree.Accelerations(r, par.ParUnseq, s, p)
+	tree.AccelerationsList(r, par.ParUnseq, s, p, 0)
 	for i := 0; i < n; i++ {
 		if s.Acc(i).Sub(ref.Acc(i)).Norm() > 1e-10*(1+ref.Acc(i).Norm()) {
 			t.Fatalf("body %d force mismatch", i)
@@ -302,7 +302,7 @@ func TestMortonOrderingWorks(t *testing.T) {
 	checkStructure(t, tree, s)
 	ref := s.Clone()
 	allpairs.AllPairs(r, par.ParUnseq, ref, p)
-	tree.Accelerations(r, par.ParUnseq, s, p)
+	tree.AccelerationsList(r, par.ParUnseq, s, p, 0)
 	for i := 0; i < n; i++ {
 		if s.Acc(i).Sub(ref.Acc(i)).Norm() > 1e-10*(1+ref.Acc(i).Norm()) {
 			t.Fatalf("morton body %d force mismatch", i)
@@ -330,7 +330,7 @@ func TestBuildNoSortStaysCorrect(t *testing.T) {
 	p := grav.Params{G: 1, Eps: 1e-3, Theta: 0}
 	ref := s.Clone()
 	allpairs.AllPairs(r, par.ParUnseq, ref, p)
-	tree.Accelerations(r, par.ParUnseq, s, p)
+	tree.AccelerationsList(r, par.ParUnseq, s, p, 0)
 	for i := 0; i < n; i++ {
 		if s.Acc(i).Sub(ref.Acc(i)).Norm() > 1e-10*(1+ref.Acc(i).Norm()) {
 			t.Fatalf("no-sort rebuild body %d force mismatch", i)
@@ -357,7 +357,7 @@ func TestMasslessBodies(t *testing.T) {
 	}
 	r := par.NewRuntime(4, par.Dynamic)
 	tree := buildTree(t, Config{}, s, r)
-	tree.Accelerations(r, par.ParUnseq, s, grav.DefaultParams())
+	tree.AccelerationsList(r, par.ParUnseq, s, grav.DefaultParams(), 0)
 	for i := 0; i < s.N(); i++ {
 		if !s.Acc(i).IsFinite() {
 			t.Fatalf("body %d acceleration %v", i, s.Acc(i))
@@ -373,7 +373,7 @@ func TestCoincidentBodies(t *testing.T) {
 	r := par.NewRuntime(4, par.Dynamic)
 	tree := buildTree(t, Config{}, s, r)
 	checkStructure(t, tree, s)
-	tree.Accelerations(r, par.ParUnseq, s, grav.Params{G: 1, Eps: 0, Theta: 0.5})
+	tree.AccelerationsList(r, par.ParUnseq, s, grav.Params{G: 1, Eps: 0, Theta: 0.5}, 0)
 	for i := 0; i < 8; i++ {
 		if !s.Acc(i).IsFinite() {
 			t.Fatalf("coincident bodies produced %v", s.Acc(i))
@@ -389,7 +389,7 @@ func TestSingleBody(t *testing.T) {
 	if tree.NumLeaves() != 1 || tree.Levels() != 1 {
 		t.Errorf("single body: leaves=%d levels=%d", tree.NumLeaves(), tree.Levels())
 	}
-	tree.Accelerations(r, par.ParUnseq, s, grav.DefaultParams())
+	tree.AccelerationsList(r, par.ParUnseq, s, grav.DefaultParams(), 0)
 	if s.Acc(0) != vec.Zero {
 		t.Errorf("lone body acceleration %v", s.Acc(0))
 	}
@@ -484,10 +484,10 @@ func TestOrderingString(t *testing.T) {
 }
 
 // Property: random systems always produce structurally valid trees whose
-// θ=0 forces match all-pairs.
+// θ=0 forces match all-pairs, for any leaf and group size.
 func TestPropBuildAndExactForce(t *testing.T) {
 	r := par.NewRuntime(0, par.Dynamic)
-	f := func(seed uint64, nRaw uint8, leafRaw uint8) bool {
+	f := func(seed uint64, nRaw, leafRaw, groupRaw uint8) bool {
 		n := int(nRaw%60) + 1
 		leafSize := int(leafRaw%6) + 1
 		s := randomSystem(n, seed)
@@ -498,7 +498,7 @@ func TestPropBuildAndExactForce(t *testing.T) {
 		p := grav.Params{G: 1, Eps: 1e-3, Theta: 0}
 		ref := s.Clone()
 		allpairs.AllPairs(r, par.ParUnseq, ref, p)
-		tree.Accelerations(r, par.ParUnseq, s, p)
+		tree.AccelerationsList(r, par.ParUnseq, s, p, int(groupRaw%40))
 		for i := 0; i < n; i++ {
 			if s.Acc(i).Sub(ref.Acc(i)).Norm() > 1e-9*(1+ref.Acc(i).Norm()) {
 				return false
@@ -531,6 +531,6 @@ func BenchmarkForce1e5(b *testing.B) {
 	p := grav.DefaultParams()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tree.Accelerations(r, par.ParUnseq, s, p)
+		tree.AccelerationsList(r, par.ParUnseq, s, p, 0)
 	}
 }

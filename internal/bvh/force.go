@@ -8,104 +8,6 @@ import (
 	"nbody/internal/par"
 )
 
-// Accelerations performs the CALCULATEFORCE step of the Hilbert-BVH
-// strategy: a stackless skip-list traversal of the implicit heap for every
-// body, approximating distant nodes by their moments and computing exact
-// pairwise interactions at leaves. Results (G-scaled) are written to the
-// system's Acc arrays.
-//
-// Two differences from the octree traversal, both noted by the paper:
-// finishing a subtree jumps directly to the next node across multiple
-// levels (the skip-list property of the balanced heap), and the opening
-// criterion uses the node's *bounding box* extent, since BVH boxes may be
-// elongated and overlap — so θ is not numerically comparable between the
-// two strategies.
-//
-// All iterations are independent; the paper runs this under par_unseq.
-func (t *Tree) Accelerations(r *par.Runtime, pol par.Policy, s *body.System, p grav.Params) {
-	n := s.N()
-	eps2 := p.Eps2()
-	theta2 := p.Theta * p.Theta
-	numLeaves := t.numLeaves
-	leafSize := t.cfg.LeafSize
-	useBoxDist := t.cfg.Criterion == BoxDistance
-
-	posX, posY, posZ, mass := s.PosX, s.PosY, s.PosZ, s.Mass
-
-	r.ForGrain(pol, n, 0, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			xi, yi, zi := posX[i], posY[i], posZ[i]
-			var ax, ay, az float64
-
-			node := 1
-			for node != 0 {
-				if t.count[node] == 0 {
-					node = skipNext(node)
-					continue
-				}
-				if node >= numLeaves {
-					// Leaf: exact interactions over its contiguous
-					// body range.
-					j := node - numLeaves
-					b0 := j * leafSize
-					b1 := min(b0+leafSize, n)
-					for b := b0; b < b1; b++ {
-						if b == i {
-							continue
-						}
-						grav.Accumulate(posX[b]-xi, posY[b]-yi, posZ[b]-zi, mass[b], eps2, &ax, &ay, &az)
-					}
-					node = skipNext(node)
-					continue
-				}
-				// Interior: open or approximate by the configured
-				// criterion.
-				dx := t.comX[node] - xi
-				dy := t.comY[node] - yi
-				dz := t.comZ[node] - zi
-				d2 := dx*dx + dy*dy + dz*dz
-				crit2 := d2
-				if useBoxDist {
-					crit2 = t.boxDist2(node, xi, yi, zi)
-				}
-				size := t.extent(node)
-				if size*size < theta2*crit2 {
-					grav.Accumulate(dx, dy, dz, t.m[node], eps2, &ax, &ay, &az)
-					node = skipNext(node)
-				} else {
-					node = 2 * node // descend to left child
-				}
-			}
-
-			s.AccX[i] = p.G * ax
-			s.AccY[i] = p.G * ay
-			s.AccZ[i] = p.G * az
-		}
-	})
-}
-
-// boxDist2 returns the squared distance from (x, y, z) to node i's box
-// (zero inside).
-func (t *Tree) boxDist2(i int, x, y, z float64) float64 {
-	var d2 float64
-	if v := t.minX[i] - x; v > 0 {
-		d2 += v * v
-	} else if v := x - t.maxX[i]; v > 0 {
-		d2 += v * v
-	}
-	if v := t.minY[i] - y; v > 0 {
-		d2 += v * v
-	} else if v := y - t.maxY[i]; v > 0 {
-		d2 += v * v
-	}
-	if v := t.minZ[i] - z; v > 0 {
-		d2 += v * v
-	} else if v := z - t.maxZ[i]; v > 0 {
-		d2 += v * v
-	}
-	return d2
-}
-
 // extent returns the longest edge of node i's bounding box.
 func (t *Tree) extent(i int) float64 {
 	ex := t.maxX[i] - t.minX[i]
@@ -133,8 +35,9 @@ func skipNext(node int) int {
 }
 
 // Potential estimates each body's gravitational potential (per unit mass,
-// G-scaled) with the same traversal and opening criterion, for O(N log N)
-// energy diagnostics. Total potential energy is ½·Σ mᵢφᵢ.
+// G-scaled) with a per-body skip-list walk under the center-distance
+// opening criterion, for O(N log N) energy diagnostics. Total potential
+// energy is ½·Σ mᵢφᵢ.
 func (t *Tree) Potential(r *par.Runtime, pol par.Policy, s *body.System, p grav.Params, out []float64) {
 	n := s.N()
 	eps2 := p.Eps2()

@@ -9,22 +9,30 @@ import (
 	"nbody/internal/soa"
 )
 
-// AccelerationsList is the flat-layout CALCULATEFORCE variant of the
-// Hilbert-BVH strategy: one skip-list walk per group of consecutive
-// leaves (curve order makes them spatially compact) collects accepted
-// far-field nodes and near-field leaf bodies into a soa.List, and a
-// second pass evaluates every body of the group against the list in one
-// tight branch-free loop. See octree.AccelerationsList and package soa
-// for the batching rationale; groupBodies is the target number of bodies
-// sharing a walk (rounded up to whole leaves).
+// AccelerationsList performs the CALCULATEFORCE step of the Hilbert-BVH
+// strategy: one stackless skip-list walk per group of consecutive leaves
+// (curve order makes them spatially compact) collects accepted far-field
+// nodes and near-field leaf bodies into a soa.List, and a second pass
+// evaluates every body of the group against the list in one tight
+// branch-free loop. Results (G-scaled) are written to the system's Acc
+// arrays. See octree.AccelerationsList and package soa for the batching
+// rationale; groupBodies is the target number of bodies sharing a walk
+// (rounded up to whole leaves).
+//
+// Two differences from the octree traversal, both noted by the paper:
+// finishing a subtree jumps directly to the next node across multiple
+// levels (the skip-list property of the balanced heap), and the opening
+// criterion uses the node's *bounding box* extent, since BVH boxes may be
+// elongated and overlap — so θ is not numerically comparable between the
+// two strategies.
 //
 // The opening test is made conservative for the whole group: under
 // CenterDistance the node's com distance is measured to the group's
 // bounding box, under BoxDistance the node box's distance likewise — both
 // lower-bound every per-body distance in the group, so a node is
 // approximated only when the per-body criterion would have accepted it
-// for every member. Accuracy is therefore never worse than the per-body
-// walk at equal θ.
+// for every member. Accuracy is therefore never worse than per-body
+// Barnes-Hut at equal θ.
 func (t *Tree) AccelerationsList(r *par.Runtime, pol par.Policy, s *body.System, p grav.Params, groupBodies int) {
 	n := s.N()
 	if groupBodies <= 0 {
@@ -43,7 +51,7 @@ func (t *Tree) AccelerationsList(r *par.Runtime, pol par.Policy, s *body.System,
 	span := leavesPer * leafSize
 	numGroups := (n + span - 1) / span
 
-	r.For(pol, numGroups, func(g int) {
+	group := func(g int) {
 		b0 := g * span
 		b1 := min(b0+span, n)
 
@@ -139,5 +147,12 @@ func (t *Tree) AccelerationsList(r *par.Runtime, pol par.Policy, s *body.System,
 			s.AccZ[b] = p.G * az
 		}
 		soa.PutList(list)
+	}
+	// One group per grain: the runtime's body-sized default grain would
+	// leave every N ≤ 2048 pass on a single worker.
+	r.ForGrain(pol, numGroups, 1, func(lo, hi int) {
+		for g := lo; g < hi; g++ {
+			group(g)
+		}
 	})
 }

@@ -71,47 +71,6 @@ func (a Algorithm) String() string {
 // to include it.
 func Algorithms() []Algorithm { return []Algorithm{AllPairs, AllPairsCol, Octree, BVH} }
 
-// Layout selects the force-evaluation data path.
-type Layout int
-
-const (
-	// LayoutFlat (the default) evaluates forces through flat per-group
-	// interaction lists: tree walks collect accepted nodes and leaf bodies
-	// into dense SoA arrays that a tight branch-free loop then evaluates
-	// (octree/bvh AccelerationsList, package soa). Tree algorithms under
-	// this layout use the conservative group opening criterion, so
-	// accuracy is never worse than the walk layout at equal θ.
-	LayoutFlat Layout = iota
-	// LayoutWalk keeps the per-body tree-walk kernels — the paper's
-	// baseline data path, and the only one supporting octree quadrupole
-	// moments (core falls back to it automatically in that case).
-	LayoutWalk
-)
-
-// String implements fmt.Stringer.
-func (l Layout) String() string {
-	switch l {
-	case LayoutFlat:
-		return "flat"
-	case LayoutWalk:
-		return "walk"
-	}
-	return fmt.Sprintf("Layout(%d)", int(l))
-}
-
-// Layouts lists the force-evaluation layouts.
-func Layouts() []Layout { return []Layout{LayoutFlat, LayoutWalk} }
-
-// ParseLayout converts a CLI/API name into a Layout.
-func ParseLayout(name string) (Layout, error) {
-	for _, l := range Layouts() {
-		if l.String() == name {
-			return l, nil
-		}
-	}
-	return 0, fmt.Errorf("core: unknown layout %q (want flat or walk)", name)
-}
-
 // AllAlgorithms lists every solver, including extensions beyond the paper.
 func AllAlgorithms() []Algorithm { return append(Algorithms(), KDTree) }
 
@@ -140,15 +99,13 @@ type Config struct {
 	// Sequential replaces every execution policy with seq — the paper's
 	// single-core baseline configuration.
 	Sequential bool
-	// Layout selects the force-evaluation data path: flat interaction
-	// lists (default) or the per-body walk kernels. See Layout.
-	Layout Layout
 	// RebuildEvery rebuilds the spatial structure from scratch every k
-	// steps (default 1 = every step). For k > 1, intermediate steps reuse
-	// the previous tree: the octree keeps its topology (refreshing
-	// multipoles), the BVH skips the Hilbert sort (refreshing boxes and
-	// moments, which stay exact). This is the tree-reuse approximation of
-	// Iwasawa et al. discussed in the paper's related work.
+	// steps (default 1 = every step). For k > 1, intermediate steps refit
+	// the previous tree in place: the octree keeps its topology
+	// (refreshing multipoles), the BVH skips the Hilbert sort (refreshing
+	// boxes and moments, which stay exact). This is the tree-reuse
+	// approximation of Iwasawa et al. discussed in the paper's related
+	// work. Refit work is recorded under the metrics "refit" phase.
 	RebuildEvery int
 	// RefitThreshold, when > 0, switches tree reuse from the fixed
 	// RebuildEvery cadence to an adaptive, displacement-driven policy:
@@ -158,8 +115,7 @@ type Config struct {
 	// since the last full rebuild exceeds RefitThreshold × the root box
 	// extent, which forces a rebuild (re-sort, re-insert) and resets the
 	// accumulator. RebuildEvery > 1 then acts as a hard cadence cap on
-	// top. Refit work is recorded under the metrics "refit" phase.
-	// Typical values are 0.01-0.05; 0 disables adaptive reuse.
+	// top. Typical values are 0.01-0.05; 0 disables adaptive reuse.
 	RefitThreshold float64
 	// Octree configures the Concurrent Octree solver.
 	Octree octree.Config
@@ -264,19 +220,14 @@ func New(cfg Config, sys *body.System) (*Sim, error) {
 	if cfg.RebuildEvery <= 0 {
 		cfg.RebuildEvery = 1
 	}
-	switch cfg.Layout {
-	case LayoutFlat, LayoutWalk:
-	default:
-		return nil, fmt.Errorf("core: unknown layout %v", cfg.Layout)
-	}
 	if cfg.RefitThreshold < 0 || math.IsNaN(cfg.RefitThreshold) || math.IsInf(cfg.RefitThreshold, 0) {
 		return nil, fmt.Errorf("core: refit threshold %v must be finite and non-negative", cfg.RefitThreshold)
 	}
-	if cfg.Algorithm == Octree && cfg.Layout == LayoutFlat && !cfg.Octree.Quadrupole {
-		// The flat interaction-list walk shares one traversal among a
-		// group of consecutive bodies; without spatial sorting those
-		// groups span the whole domain and the conservative criterion
-		// opens everything. Curve-order the bodies unconditionally.
+	if cfg.Algorithm == Octree {
+		// The interaction-list walk shares one traversal among a group of
+		// consecutive bodies; without spatial sorting those groups span
+		// the whole domain and the conservative criterion opens
+		// everything. Curve-order the bodies unconditionally.
 		cfg.Octree.PresortMorton = true
 	}
 
@@ -322,7 +273,7 @@ func (s *Sim) Config() Config { return s.cfg }
 func (s *Sim) Rebuilds() int { return s.rebuilds }
 
 // Refits returns the number of in-place refit passes performed on
-// adaptive tree-reuse steps (always 0 when RefitThreshold == 0).
+// tree-reuse steps (always 0 when every step rebuilds).
 func (s *Sim) Refits() int { return s.refits }
 
 // adaptiveReuse reports whether displacement-driven tree reuse is active.
@@ -594,8 +545,10 @@ func (s *Sim) hasStructure() bool {
 
 // phaseStructure refreshes the spatial structure for the coming force
 // pass, recording per-phase timings. rebuild selects a full rebuild
-// (bounds → sort → build → moments) versus the tree-reuse fast path —
-// which, under adaptive reuse, collapses to a single refit pass.
+// (bounds → sort → build → moments); every other step of a tree that
+// supports reuse — whether RebuildEvery's cadence or the adaptive policy
+// chose it — is a single in-place refit pass, timed under the refit
+// phase and counted by Refits.
 func (s *Sim) phaseStructure(rebuild bool) error {
 	b := &s.breakdown
 
@@ -622,7 +575,7 @@ func (s *Sim) phaseStructure(rebuild bool) error {
 				s.tree.ComputeMoments(s.rt, s.sys)
 			})
 			s.noteRebuild(box.MaxExtent())
-		case s.adaptiveReuse():
+		default:
 			// Refit: topology is kept, centers of mass follow the moved
 			// bodies. Timed separately so Figure-8-style breakdowns show
 			// what reuse actually costs.
@@ -630,11 +583,6 @@ func (s *Sim) phaseStructure(rebuild bool) error {
 				s.tree.ComputeMoments(s.rt, s.sys)
 			})
 			s.refits++
-		default:
-			// Legacy fixed-cadence reuse (RebuildEvery > 1).
-			b.Time(metrics.PhaseMultipoles, func() {
-				s.tree.ComputeMoments(s.rt, s.sys)
-			})
 		}
 		return nil
 
@@ -652,7 +600,7 @@ func (s *Sim) phaseStructure(rebuild bool) error {
 				s.hbvh.BuildNoSort(s.rt, s.pol.build, s.sys)
 			})
 			s.noteRebuild(box.MaxExtent())
-		case s.adaptiveReuse():
+		default:
 			// Refit: boxes and moments are recomputed from current
 			// positions (exact); only the Hilbert-order leaf compactness
 			// degrades until the next rebuild.
@@ -660,10 +608,6 @@ func (s *Sim) phaseStructure(rebuild bool) error {
 				s.hbvh.BuildNoSort(s.rt, s.pol.build, s.sys)
 			})
 			s.refits++
-		default:
-			b.Time(metrics.PhaseBuild, func() {
-				s.hbvh.BuildNoSort(s.rt, s.pol.build, s.sys)
-			})
 		}
 		return nil
 
@@ -705,22 +649,12 @@ func (s *Sim) phaseForce() {
 
 	case Octree:
 		b.Time(metrics.PhaseForce, func() {
-			if s.cfg.Layout == LayoutFlat && !s.cfg.Octree.Quadrupole {
-				s.tree.AccelerationsList(s.rt, s.pol.force, s.sys, p, s.cfg.Octree.GroupSize)
-			} else if gs := s.cfg.Octree.GroupSize; gs > 0 {
-				s.tree.AccelerationsGrouped(s.rt, s.pol.force, s.sys, p, gs)
-			} else {
-				s.tree.Accelerations(s.rt, s.pol.force, s.sys, p)
-			}
+			s.tree.AccelerationsList(s.rt, s.pol.force, s.sys, p, s.cfg.Octree.GroupSize)
 		})
 
 	case BVH:
 		b.Time(metrics.PhaseForce, func() {
-			if s.cfg.Layout == LayoutFlat {
-				s.hbvh.AccelerationsList(s.rt, s.pol.force, s.sys, p, s.cfg.BVH.GroupBodies)
-			} else {
-				s.hbvh.Accelerations(s.rt, s.pol.force, s.sys, p)
-			}
+			s.hbvh.AccelerationsList(s.rt, s.pol.force, s.sys, p, s.cfg.BVH.GroupBodies)
 		})
 
 	case KDTree:

@@ -10,6 +10,8 @@ import (
 
 	"nbody/internal/body"
 	"nbody/internal/grav"
+	"nbody/internal/metrics"
+	"nbody/internal/octree"
 	"nbody/internal/vec"
 	"nbody/internal/workload"
 )
@@ -77,10 +79,11 @@ func positionsByID(sys *body.System) [][3]float64 {
 }
 
 // TestGoldenL2SolarValidation replicates the paper's Section V-A gate on
-// the flat layout: one simulated day (24 steps of dt = 1 hour) of the
+// the interaction-list force path: one simulated day (24 steps of dt = 1 hour) of the
 // synthetic solar-system catalogue, G in AU³/(M☉·day²), ε = 0, θ = 0.5.
-// Every solver's RMS L2 position error against the AoS all-pairs reference
-// must stay below 1e-6 AU.
+// Every solver's RMS L2 position error against the AoS all-pairs
+// reference — the octree's with monopoles and with quadrupoles — must stay
+// below 1e-6 AU.
 func TestGoldenL2SolarValidation(t *testing.T) {
 	const (
 		n     = 1024
@@ -97,19 +100,27 @@ func TestGoldenL2SolarValidation(t *testing.T) {
 		ref[p.ID] = [3]float64{p.Pos.X, p.Pos.Y, p.Pos.Z}
 	}
 
-	for _, alg := range []Algorithm{AllPairs, Octree, BVH} {
-		for _, lay := range Layouts() {
-			sys := workload.SolarSystemBelt(n, seed)
-			sim, err := New(Config{Algorithm: alg, Layout: lay, DT: dt, Params: params}, sys)
-			if err != nil {
-				t.Fatalf("%v/%v: %v", alg, lay, err)
-			}
-			if err := sim.Run(steps); err != nil {
-				t.Fatalf("%v/%v: %v", alg, lay, err)
-			}
-			if rms := rmsL2(ref, positionsByID(sys)); rms >= tol {
-				t.Errorf("%v/%v: RMS L2 position error %.3g exceeds the %.0e AU gate", alg, lay, rms, tol)
-			}
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"all-pairs", Config{Algorithm: AllPairs}},
+		{"octree", Config{Algorithm: Octree}},
+		{"octree+quadrupole", Config{Algorithm: Octree, Octree: octree.Config{Quadrupole: true}}},
+		{"bvh", Config{Algorithm: BVH}},
+	} {
+		sys := workload.SolarSystemBelt(n, seed)
+		cfg := tc.cfg
+		cfg.DT, cfg.Params = dt, params
+		sim, err := New(cfg, sys)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if err := sim.Run(steps); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if rms := rmsL2(ref, positionsByID(sys)); rms >= tol {
+			t.Errorf("%s: RMS L2 position error %.3g exceeds the %.0e AU gate", tc.name, rms, tol)
 		}
 	}
 }
@@ -228,5 +239,34 @@ func TestRebuildCadenceCapWithRefit(t *testing.T) {
 	want := 1 + (steps-1)/k
 	if sim.Rebuilds() != want {
 		t.Errorf("cadence cap: rebuilds=%d, want %d (refits=%d)", sim.Rebuilds(), want, sim.Refits())
+	}
+}
+
+// TestCadenceReuseIsRefit checks that fixed-cadence reuse (RebuildEvery >
+// 1, no refit threshold) runs through the refit path: every step between
+// rebuilds is counted by Refits and timed under the refit phase.
+func TestCadenceReuseIsRefit(t *testing.T) {
+	const (
+		n     = 300
+		steps = 12
+		k     = 4
+	)
+	for _, alg := range []Algorithm{Octree, BVH} {
+		sim, err := New(Config{Algorithm: alg, DT: 1e-3, RebuildEvery: k}, workload.Plummer(n, 5))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sim.Run(steps); err != nil {
+			t.Fatal(err)
+		}
+		// Force passes: the initial one plus one per step; the structure
+		// is rebuilt initially and at step counters 0, k, 2k, ...
+		wantRebuilds := 1 + (steps+k-1)/k
+		if sim.Rebuilds() != wantRebuilds || sim.Refits() != steps+1-wantRebuilds {
+			t.Errorf("%v: rebuilds=%d refits=%d, want %d/%d", alg, sim.Rebuilds(), sim.Refits(), wantRebuilds, steps+1-wantRebuilds)
+		}
+		if sim.Breakdown().Elapsed(metrics.PhaseRefit) <= 0 {
+			t.Errorf("%v: cadence reuse recorded no refit time", alg)
+		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 
 	"nbody/internal/body"
 	"nbody/internal/exec"
+	"nbody/internal/octree"
 	"nbody/internal/par"
 	"nbody/internal/workload"
 )
@@ -48,8 +49,9 @@ func mustEqualSystems(t *testing.T, want, got *body.System) {
 
 // Pipelined execution must reproduce the synchronous trajectory bit for
 // bit: same kernels, same order, same state — only the scheduling differs.
-// Covered: every algorithm, both layouts, rebuild-every-step, fixed-cadence
-// reuse, and adaptive refit.
+// Covered: every algorithm on the flat interaction lists, the octree's
+// quadrupole lists, rebuild-every-step, fixed-cadence reuse, and adaptive
+// refit.
 func TestPipelinedMatchesSynchronous(t *testing.T) {
 	const n, steps, seed = 96, 17, 42
 
@@ -66,71 +68,76 @@ func TestPipelinedMatchesSynchronous(t *testing.T) {
 	ex := exec.New(4)
 	defer ex.Close()
 
+	type variant struct {
+		name string
+		cfg  Config
+	}
+	var variants []variant
 	for _, alg := range AllAlgorithms() {
-		for _, layout := range Layouts() {
-			for _, reuse := range reuses {
-				name := fmt.Sprintf("%s/%s/%s", alg, layout, reuse.name)
-				t.Run(name, func(t *testing.T) {
-					cfg := Config{
-						Algorithm:      alg,
-						DT:             0.001,
-						Layout:         layout,
-						RebuildEvery:   reuse.rebuildEvery,
-						RefitThreshold: reuse.refitThreshold,
-						Runtime:        par.NewRuntime(2, par.Dynamic),
-					}
+		variants = append(variants, variant{alg.String() + "/flat", Config{Algorithm: alg}})
+	}
+	variants = append(variants, variant{"octree/quadrupole", Config{Algorithm: Octree, Octree: octree.Config{Quadrupole: true}}})
 
-					sync_, err := New(cfg, workload.Plummer(n, seed))
-					if err != nil {
-						t.Fatal(err)
-					}
-					if err := sync_.Run(steps); err != nil {
-						t.Fatal(err)
-					}
+	for _, v := range variants {
+		for _, reuse := range reuses {
+			name := fmt.Sprintf("%s/%s", v.name, reuse.name)
+			t.Run(name, func(t *testing.T) {
+				cfg := v.cfg
+				cfg.DT = 0.001
+				cfg.RebuildEvery = reuse.rebuildEvery
+				cfg.RefitThreshold = reuse.refitThreshold
+				cfg.Runtime = par.NewRuntime(2, par.Dynamic)
 
-					pcfg := cfg
-					pcfg.Pipeline = true
-					pcfg.PublishCommits = true
-					piped, err := New(pcfg, workload.Plummer(n, seed))
-					if err != nil {
-						t.Fatal(err)
-					}
-					var mu sync.Mutex
-					commits := 0
-					done, err := piped.RunPipelined(context.Background(), steps, PipelineOpts{
-						Exec: ex,
-						Lock: &mu,
-						OnCommit: func(step int) error {
-							commits++
-							if step != commits {
-								return fmt.Errorf("commit callback step %d at commit %d", step, commits)
-							}
-							return nil
-						},
-					})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if done != steps || commits != steps || piped.StepCount() != steps {
-						t.Fatalf("pipelined run: done=%d commits=%d steps=%d, want %d", done, commits, piped.StepCount(), steps)
-					}
+				sync_, err := New(cfg, workload.Plummer(n, seed))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := sync_.Run(steps); err != nil {
+					t.Fatal(err)
+				}
 
-					mustEqualSystems(t, sync_.System(), piped.System())
-					if sync_.Rebuilds() != piped.Rebuilds() || sync_.Refits() != piped.Refits() {
-						t.Fatalf("structure passes diverged: rebuilds %d/%d refits %d/%d",
-							sync_.Rebuilds(), piped.Rebuilds(), sync_.Refits(), piped.Refits())
-					}
-
-					// The committed double buffer is the step-boundary
-					// state — identical to the live arrays once the run
-					// has drained.
-					committed, cstep := piped.Committed()
-					if cstep != steps {
-						t.Fatalf("committed step = %d, want %d", cstep, steps)
-					}
-					mustEqualSystems(t, piped.System(), committed)
+				pcfg := cfg
+				pcfg.Pipeline = true
+				pcfg.PublishCommits = true
+				piped, err := New(pcfg, workload.Plummer(n, seed))
+				if err != nil {
+					t.Fatal(err)
+				}
+				var mu sync.Mutex
+				commits := 0
+				done, err := piped.RunPipelined(context.Background(), steps, PipelineOpts{
+					Exec: ex,
+					Lock: &mu,
+					OnCommit: func(step int) error {
+						commits++
+						if step != commits {
+							return fmt.Errorf("commit callback step %d at commit %d", step, commits)
+						}
+						return nil
+					},
 				})
-			}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if done != steps || commits != steps || piped.StepCount() != steps {
+					t.Fatalf("pipelined run: done=%d commits=%d steps=%d, want %d", done, commits, piped.StepCount(), steps)
+				}
+
+				mustEqualSystems(t, sync_.System(), piped.System())
+				if sync_.Rebuilds() != piped.Rebuilds() || sync_.Refits() != piped.Refits() {
+					t.Fatalf("structure passes diverged: rebuilds %d/%d refits %d/%d",
+						sync_.Rebuilds(), piped.Rebuilds(), sync_.Refits(), piped.Refits())
+				}
+
+				// The committed double buffer is the step-boundary
+				// state — identical to the live arrays once the run
+				// has drained.
+				committed, cstep := piped.Committed()
+				if cstep != steps {
+					t.Fatalf("committed step = %d, want %d", cstep, steps)
+				}
+				mustEqualSystems(t, piped.System(), committed)
+			})
 		}
 	}
 }

@@ -6,6 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -871,5 +873,52 @@ func TestChunkTimeoutDoesNotMisclassifyCancel(t *testing.T) {
 	waitState(t, m, info.ID, StateCancelled)
 	if v := m.ins.retries.Value(); v != 0 {
 		t.Errorf("retries = %v, want 0 for a cancel", v)
+	}
+}
+
+// TestRecoverParentFormatRecords restarts the queue over job records in
+// the format written while the service still had a force `layout` field:
+// records carrying it (either value) are resolved-style, so an explicit
+// eps of 0 (omitted on disk) stays 0; a record without it predates the
+// config object and inherits the default. All of them run to completion
+// on the single force path.
+func TestRecoverParentFormatRecords(t *testing.T) {
+	dir := t.TempDir()
+	const parent = `{"id":%q,"class":"normal","state":"queued","workload":"plummer","n":16,
+		"algorithm":"octree","dt":0.001,"theta":0.5,"g":1,%s"steps":20,"chunk_steps":10,
+		"steps_done":0,"created":"2026-01-02T03:04:05Z","updated_at":"2026-01-02T03:04:05Z"}`
+	wantEps := map[string]float64{"j-1": 0, "j-2": 0, "j-3": 1e-3}
+	for id, layout := range map[string]string{"j-1": `"layout":"flat",`, "j-2": `"layout":"walk",`, "j-3": ""} {
+		doc := fmt.Sprintf(parent, id, layout)
+		if err := os.WriteFile(filepath.Join(dir, id+".json"), []byte(doc), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	js, err := store.OpenJobs(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	f := newFakeRunner()
+	m := newTestManager(t, Config{Runner: f, Workers: 1, Store: js})
+	for id, eps := range wantEps {
+		done := waitState(t, m, id, StateSucceeded)
+		if done.StepsDone != 20 {
+			t.Errorf("%s: steps_done = %d, want 20", id, done.StepsDone)
+		}
+		if done.Config.Eps != eps || done.Config.Theta != 0.5 || done.Config.Algorithm != "octree" {
+			t.Errorf("%s: recovered config %+v, want eps %v", id, done.Config, eps)
+		}
+	}
+
+	// Records the restarted queue writes back carry the explicit marker.
+	recs, _, err := js.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range recs {
+		if !rec.Resolved {
+			t.Errorf("%s: rewritten record lacks the resolved marker", rec.ID)
+		}
 	}
 }

@@ -103,8 +103,8 @@ func (j *job) infoLocked() Info {
 
 func (j *job) recordLocked() store.JobRecord {
 	// Physics fields are persisted RESOLVED (from j.eff, not the raw
-	// spec); Layout being non-empty marks the record as resolved-style so
-	// recovery knows explicit zeros are real values, not inherit-default.
+	// spec); Resolved tells recovery that explicit zeros are real values,
+	// not inherit-default.
 	return store.JobRecord{
 		ID:             j.id,
 		Class:          j.spec.Class,
@@ -120,7 +120,7 @@ func (j *job) recordLocked() store.JobRecord {
 		Eps:            j.eff.Eps,
 		G:              j.eff.G,
 		Sequential:     j.eff.Sequential,
-		Layout:         j.eff.Layout,
+		Resolved:       true,
 		RebuildEvery:   j.eff.TreeReuse.RebuildEvery,
 		RefitThreshold: j.eff.TreeReuse.RefitThreshold,
 		Steps:          j.spec.Steps,
@@ -234,7 +234,7 @@ func (m *Manager) recover() error {
 			G:          rec.G,
 			Sequential: rec.Sequential,
 		}
-		if rec.Layout != "" {
+		if rec.Resolved {
 			// Resolved-style record: the flat fields hold fully resolved
 			// values, so rebuild the config object with explicit pointers —
 			// otherwise a real zero (eps 0) would re-inherit the default
@@ -242,7 +242,6 @@ func (m *Manager) recover() error {
 			theta, eps, g, seq := rec.Theta, rec.Eps, rec.G, rec.Sequential
 			ss.Config = &simcfg.Config{
 				Algorithm:  rec.Algorithm,
-				Layout:     rec.Layout,
 				DT:         rec.DT,
 				Theta:      &theta,
 				Eps:        &eps,

@@ -8,87 +8,25 @@ import (
 	"nbody/internal/par"
 )
 
-// Accelerations performs the paper's CALCULATEFORCE step: for every body, a
-// stackless depth-first traversal of the octree that approximates far-away
-// nodes by their multipole moments and computes exact pairwise interactions
-// at leaves. Results (G-scaled) are written to the system's Acc arrays.
-//
-// The traversal is stackless (Figure 3): because every sibling group is
-// allocated after its parent, child offsets are strictly greater than the
-// parent's, so "advance" can always be computed from the current node index
-// alone — the next sibling inside the group, or the parent's successor via
-// the per-group parent offsets. Iterations are independent (the tree is
-// immutable during this step), so the paper runs it with par_unseq.
-//
-// The opening criterion is the classic Barnes-Hut test: a node of cell size
-// s whose center of mass lies at distance d from the body is approximated
-// when s < θ·d, otherwise its children are visited.
-func (t *Tree) Accelerations(r *par.Runtime, pol par.Policy, s *body.System, p grav.Params) {
-	n := s.N()
-	eps2 := p.Eps2()
-	theta2 := p.Theta * p.Theta
-	rootSize := 2 * t.rootHalf
-
-	// Precompute cell sizes per depth: size(d) = rootSize / 2^d.
-	var sizeAt [260]float64
-	sz := rootSize
+// cellSizes returns the cell edge length per depth: size(d) = rootSize/2^d.
+func (t *Tree) cellSizes() (sizeAt [260]float64) {
+	sz := 2 * t.rootHalf
 	for d := range sizeAt {
 		sizeAt[d] = sz
 		sz *= 0.5
 	}
-
-	posX, posY, posZ, mass := s.PosX, s.PosY, s.PosZ, s.Mass
-	quad := t.cfg.Quadrupole
-
-	r.ForGrain(pol, n, 0, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			xi, yi, zi := posX[i], posY[i], posZ[i]
-			var ax, ay, az float64
-
-			node := int32(0)
-			for node >= 0 {
-				tok := t.child[node]
-				if tok >= 0 {
-					// Internal node: multipole-accept or open.
-					dx := t.comX[node] - xi
-					dy := t.comY[node] - yi
-					dz := t.comZ[node] - zi
-					d2 := dx*dx + dy*dy + dz*dz
-					size := sizeAt[t.depthOf(node)]
-					if size*size < theta2*d2 {
-						if quad {
-							t.accumulateQuad(node, dx, dy, dz, d2, eps2, &ax, &ay, &az)
-						} else {
-							grav.Accumulate(dx, dy, dz, t.m[node], eps2, &ax, &ay, &az)
-						}
-						node = t.advance(node)
-					} else {
-						node = tok // forward step: descend to first child
-					}
-					continue
-				}
-				// Leaf: exact interactions over the (typically
-				// single-element) chain, skipping the body itself.
-				for b := leafBody(tok); b >= 0; b = t.next[b] {
-					if int(b) == i {
-						continue
-					}
-					grav.Accumulate(posX[b]-xi, posY[b]-yi, posZ[b]-zi, mass[b], eps2, &ax, &ay, &az)
-				}
-				node = t.advance(node)
-			}
-
-			s.AccX[i] = p.G * ax
-			s.AccY[i] = p.G * ay
-			s.AccZ[i] = p.G * az
-		}
-	})
+	return sizeAt
 }
 
 // advance returns the DFS successor of node once its subtree is finished
 // (the "backward step" of Figure 3): the next sibling if one remains in the
 // group, otherwise the parent's successor, climbing via the per-group
 // parent offsets. It returns -1 after the root.
+//
+// The traversal is stackless because every sibling group is allocated
+// after its parent: child offsets are strictly greater than the parent's,
+// so the successor can always be computed from the current node index
+// alone.
 func (t *Tree) advance(node int32) int32 {
 	for node != 0 {
 		if (node-1)%8 != 7 {
@@ -99,60 +37,18 @@ func (t *Tree) advance(node int32) int32 {
 	return -1
 }
 
-// accumulateQuad adds the monopole plus traceless-quadrupole acceleration
-// of node, whose center of mass lies at offset (dx, dy, dz) = com - x from
-// the body, with d2 = |d|².
-//
-// With e = x - com = -d and traceless Q, the field beyond the monopole is
-//
-//	a_quad = G·[ Q·e / r⁵ - (5/2)·(eᵀQe)·e / r⁷ ]
-//	       = G·[ -Q·d / r⁵ + (5/2)·(dᵀQd)·d / r⁷ ]
-//
-// (derived from Φ = -G·M/r - G·(eᵀQe)/(2r⁵)).
-func (t *Tree) accumulateQuad(node int32, dx, dy, dz, d2, eps2 float64, ax, ay, az *float64) {
-	r2 := d2 + eps2
-	if r2 == 0 {
-		return
-	}
-	inv := 1 / math.Sqrt(r2)
-	inv2 := inv * inv
-	inv3 := inv2 * inv
-
-	// Monopole.
-	fm := t.m[node] * inv3
-	*ax += fm * dx
-	*ay += fm * dy
-	*az += fm * dz
-
-	// Quadrupole.
-	qdx := t.qxx[node]*dx + t.qxy[node]*dy + t.qxz[node]*dz
-	qdy := t.qxy[node]*dx + t.qyy[node]*dy + t.qyz[node]*dz
-	qdz := t.qxz[node]*dx + t.qyz[node]*dy + t.qzz[node]*dz
-	dqd := dx*qdx + dy*qdy + dz*qdz
-	inv5 := inv3 * inv2
-	inv7 := inv5 * inv2
-	*ax += -qdx*inv5 + 2.5*dqd*dx*inv7
-	*ay += -qdy*inv5 + 2.5*dqd*dy*inv7
-	*az += -qdz*inv5 + 2.5*dqd*dz*inv7
-}
-
-// Potential estimates each body's gravitational potential energy with the
-// same traversal and opening criterion as Accelerations, writing φᵢ (the
-// potential per unit mass, G-scaled) into out. Total potential energy is
-// ½·Σ mᵢφᵢ. Used for O(N log N) energy diagnostics where the exact O(N²)
-// sum would dominate the runtime.
+// Potential estimates each body's gravitational potential energy with a
+// per-body stackless walk under the classic Barnes-Hut opening criterion
+// (a node of cell size s whose center of mass lies at distance d is
+// approximated when s < θ·d), writing φᵢ (the potential per unit mass,
+// G-scaled) into out. Total potential energy is ½·Σ mᵢφᵢ. Used for
+// O(N log N) energy diagnostics where the exact O(N²) sum would dominate
+// the runtime.
 func (t *Tree) Potential(r *par.Runtime, pol par.Policy, s *body.System, p grav.Params, out []float64) {
 	n := s.N()
 	eps2 := p.Eps2()
 	theta2 := p.Theta * p.Theta
-	rootSize := 2 * t.rootHalf
-
-	var sizeAt [260]float64
-	sz := rootSize
-	for d := range sizeAt {
-		sizeAt[d] = sz
-		sz *= 0.5
-	}
+	sizeAt := t.cellSizes()
 
 	posX, posY, posZ, mass := s.PosX, s.PosY, s.PosZ, s.Mass
 

@@ -71,13 +71,12 @@ type Config struct {
 	// atomic adds (the paper's variant; the default).
 	GatherMoments bool
 	// Quadrupole additionally computes traceless quadrupole moments and
-	// uses them during force evaluation — the paper's "extends to
-	// multipoles" note, implemented.
+	// evaluates accepted nodes through the quadrupole interaction list —
+	// the paper's "extends to multipoles" note, implemented.
 	Quadrupole bool
-	// GroupSize, when positive, switches CALCULATEFORCE to the group
-	// traversal (AccelerationsGrouped) with this many bodies per walk.
-	// Zero keeps the paper's per-body traversal. Combine with
-	// PresortMorton for compact groups.
+	// GroupSize is the number of consecutive bodies sharing one walk of
+	// the interaction-list force pass (AccelerationsList); zero selects
+	// 32.
 	GroupSize int
 	// PresortMorton sorts the bodies along the Morton curve before
 	// insertion (permuting the system like the BVH's Hilbert sort does).

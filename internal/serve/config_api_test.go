@@ -35,7 +35,7 @@ func TestCreateSessionConfigEcho(t *testing.T) {
 	if eff.Eps != 0 {
 		t.Errorf("explicit eps=0 must survive resolution, got %v", eff.Eps)
 	}
-	if eff.G != 1 || eff.Layout != "flat" || eff.Sequential {
+	if eff.G != 1 || eff.Sequential {
 		t.Errorf("defaults not applied in echo: %+v", eff)
 	}
 	if eff.TreeReuse.RebuildEvery != 3 || eff.TreeReuse.RefitThreshold != 0.02 {
@@ -185,5 +185,29 @@ func TestJobConfigSurface(t *testing.T) {
 	}
 	if e := decodeBody[errorResponse](t, resp); e.Error.Code != CodeInvalidConfig {
 		t.Errorf("invalid config code %q, want %q", e.Error.Code, CodeInvalidConfig)
+	}
+}
+
+// TestRemovedLayoutFieldRejected pins the contract for clients still
+// sending the retired `config.layout` knob (both of its former values):
+// session creates and job submits are rejected by the unknown-field check
+// with the standard invalid_request envelope, not silently ignored.
+func TestRemovedLayoutFieldRejected(t *testing.T) {
+	_, _, srv := newJobServer(t, testConfig(), jobs.Config{Workers: 1})
+
+	for _, layout := range []string{"flat", "walk"} {
+		for _, req := range []struct{ path, body string }{
+			{"/v1/sessions", `{"workload":"plummer","n":48,"config":{"dt":0.001,"layout":"` + layout + `"}}`},
+			{"/v1/jobs", `{"workload":"plummer","n":48,"steps":4,"config":{"dt":0.001,"layout":"` + layout + `"}}`},
+		} {
+			resp := postJSON(t, srv.URL+req.path, req.body)
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("%s with layout %q: status %d, want 400", req.path, layout, resp.StatusCode)
+			}
+			e := decodeBody[errorResponse](t, resp)
+			if e.Error.Code != CodeInvalidRequest || !strings.Contains(e.Error.Message, "layout") {
+				t.Errorf("%s with layout %q: envelope %+v, want %s naming the field", req.path, layout, e.Error, CodeInvalidRequest)
+			}
+		}
 	}
 }

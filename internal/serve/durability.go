@@ -185,7 +185,6 @@ func (m *Manager) persist(ctx context.Context, s *Session) {
 		Eps:            cfg.Params.Eps,
 		G:              cfg.Params.G,
 		Sequential:     cfg.Sequential,
-		Layout:         cfg.Layout.String(),
 		RebuildEvery:   cfg.RebuildEvery,
 		RefitThreshold: cfg.RefitThreshold,
 		Pipeline:       cfg.Pipeline,
@@ -297,21 +296,12 @@ func (m *Manager) restore(meta store.Meta, sys *body.System) error {
 	if err != nil {
 		return err
 	}
-	// Checkpoints written before the layout field existed ran the walk
-	// kernels; absent means walk so a restore reproduces them exactly.
-	lay := core.LayoutWalk
-	if meta.Layout != "" {
-		if lay, err = core.ParseLayout(meta.Layout); err != nil {
-			return err
-		}
-	}
 	sim, err := core.New(core.Config{
 		Algorithm:      alg,
 		Params:         grav.Params{G: meta.G, Theta: meta.Theta, Eps: meta.Eps},
 		DT:             meta.DT,
 		Runtime:        m.cfg.Runtime,
 		Sequential:     meta.Sequential,
-		Layout:         lay,
 		RebuildEvery:   meta.RebuildEvery,
 		RefitThreshold: meta.RefitThreshold,
 		Pipeline:       meta.Pipeline,

@@ -8,6 +8,7 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"math"
 	"os"
@@ -446,5 +447,71 @@ func TestDeleteRemovesCheckpoint(t *testing.T) {
 	}
 	if snap := m2.Metrics(); snap.RecoveredTotal != 0 || snap.QuarantinedTotal != 0 {
 		t.Fatalf("recovery metrics after delete %+v", snap)
+	}
+}
+
+// TestRecoverParentLayoutCheckpoints restores checkpoints in the format
+// written while sessions still carried a force `layout` field — "flat",
+// "walk", or absent (the oldest format) — and requires each to recover
+// with byte-identical state and keep stepping on the single force path.
+func TestRecoverParentLayoutCheckpoints(t *testing.T) {
+	for _, layout := range []string{"flat", "walk", ""} {
+		for _, algo := range []string{"octree", "bvh"} {
+			dir := t.TempDir()
+			m1 := newStoreManager(t, dir, nil)
+			info, err := m1.Create(context.Background(), CreateRequest{Workload: "plummer", N: 64, Seed: 5, DT: 1e-3, Algorithm: algo})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := m1.Step(context.Background(), info.ID, 5); err != nil {
+				t.Fatal(err)
+			}
+			var before bytes.Buffer
+			if err := m1.WriteSnapshot(info.ID, &before); err != nil {
+				t.Fatal(err)
+			}
+			closeManager(t, m1)
+
+			// Rewrite the metadata document as the parent format had it.
+			path := filepath.Join(dir, info.ID+".json")
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var doc map[string]any
+			if err := json.Unmarshal(raw, &doc); err != nil {
+				t.Fatal(err)
+			}
+			delete(doc, "layout")
+			if layout != "" {
+				doc["layout"] = layout
+			}
+			if raw, err = json.Marshal(doc); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			m2 := newStoreManager(t, dir, nil)
+			var after bytes.Buffer
+			if err := m2.WriteSnapshot(info.ID, &after); err != nil {
+				t.Fatalf("layout %q %s: recovered session: %v", layout, algo, err)
+			}
+			if !bytes.Equal(before.Bytes(), after.Bytes()) {
+				t.Errorf("layout %q %s: snapshot differs across restart", layout, algo)
+			}
+			res, err := m2.Step(context.Background(), info.ID, 3)
+			if err != nil {
+				t.Fatalf("layout %q %s: step after recovery: %v", layout, algo, err)
+			}
+			if res.Steps != 8 {
+				t.Errorf("layout %q %s: resumed at step %d, want 8", layout, algo, res.Steps)
+			}
+			if snap := m2.Metrics(); snap.RecoveredTotal != 1 || snap.QuarantinedTotal != 0 {
+				t.Errorf("layout %q %s: recovery metrics %+v", layout, algo, snap)
+			}
+			closeManager(t, m2)
+		}
 	}
 }

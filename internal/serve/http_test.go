@@ -68,7 +68,7 @@ func TestHandlerCreateValidation(t *testing.T) {
 		{"negative dt", `{"workload":"plummer","n":64,"dt":-1}`, http.StatusBadRequest, CodeInvalidConfig},
 		{"bad workload", `{"workload":"blackhole","n":64,"dt":0.001}`, http.StatusBadRequest, ""},
 		{"bad algorithm", `{"workload":"plummer","n":64,"dt":0.001,"algorithm":"fmm"}`, http.StatusBadRequest, CodeInvalidConfig},
-		{"bad config layout", `{"workload":"plummer","n":64,"config":{"dt":0.001,"layout":"diagonal"}}`, http.StatusBadRequest, CodeInvalidConfig},
+		{"bad config layout", `{"workload":"plummer","n":64,"config":{"dt":0.001,"layout":"walk"}}`, http.StatusBadRequest, ""},
 		{"negative config theta", `{"workload":"plummer","n":64,"config":{"dt":0.001,"theta":-0.5}}`, http.StatusBadRequest, CodeInvalidConfig},
 	}
 	for _, tc := range tests {

@@ -157,9 +157,6 @@ func MergeConfig(base, over *Config) *Config {
 	if over.Algorithm != "" {
 		out.Algorithm = over.Algorithm
 	}
-	if over.Layout != "" {
-		out.Layout = over.Layout
-	}
 	if over.DT != 0 {
 		out.DT = over.DT
 	}

@@ -61,9 +61,6 @@ type Config struct {
 	// Algorithm is the force solver: "octree" (default), "bvh",
 	// "all-pairs", "all-pairs-col" or "kdtree".
 	Algorithm string `json:"algorithm,omitempty"`
-	// Layout is the force-evaluation data path: "flat" (default,
-	// interaction lists) or "walk" (per-body tree walks).
-	Layout string `json:"layout,omitempty"`
 	// DT is the integration timestep. Required here or via the deprecated
 	// flat dt field; must be positive and finite.
 	DT float64 `json:"dt,omitempty"`
@@ -92,7 +89,6 @@ type Config struct {
 // what the simulation runs with, regardless of how the request spelled it.
 type Effective struct {
 	Algorithm  string    `json:"algorithm"`
-	Layout     string    `json:"layout"`
 	DT         float64   `json:"dt"`
 	Theta      float64   `json:"theta"`
 	Eps        float64   `json:"eps"`
@@ -129,13 +125,12 @@ func (l Legacy) Used() bool {
 }
 
 // Defaults returns the service's effective configuration before any
-// request input: octree, flat layout, the paper's physics defaults,
+// request input: octree, the paper's physics defaults,
 // rebuild every step. DT has no default — it is the one required field.
 func Defaults() Effective {
 	p := grav.DefaultParams()
 	return Effective{
 		Algorithm:  core.Octree.String(),
-		Layout:     core.LayoutFlat.String(),
 		Theta:      p.Theta,
 		Eps:        p.Eps,
 		G:          p.G,
@@ -179,9 +174,6 @@ func Resolve(legacy Legacy, cfg *Config) (Effective, error) {
 		if cfg.Algorithm != "" {
 			e.Algorithm = cfg.Algorithm
 		}
-		if cfg.Layout != "" {
-			e.Layout = cfg.Layout
-		}
 		if cfg.DT != 0 {
 			e.DT = cfg.DT
 		}
@@ -217,9 +209,6 @@ func (e Effective) validate() error {
 	if _, err := core.ParseAlgorithm(e.Algorithm); err != nil {
 		return invalid("algorithm", "unknown algorithm %q", e.Algorithm)
 	}
-	if _, err := core.ParseLayout(e.Layout); err != nil {
-		return invalid("layout", "unknown layout %q (want flat or walk)", e.Layout)
-	}
 	if !(e.DT > 0) || math.IsInf(e.DT, 0) {
 		return invalid("dt", "timestep %v must be positive and finite", e.DT)
 	}
@@ -251,13 +240,8 @@ func (e Effective) CoreConfig() (core.Config, error) {
 	if err != nil {
 		return core.Config{}, invalid("algorithm", "unknown algorithm %q", e.Algorithm)
 	}
-	lay, err := core.ParseLayout(e.Layout)
-	if err != nil {
-		return core.Config{}, invalid("layout", "unknown layout %q", e.Layout)
-	}
 	return core.Config{
 		Algorithm:      alg,
-		Layout:         lay,
 		Params:         grav.Params{G: e.G, Eps: e.Eps, Theta: e.Theta},
 		DT:             e.DT,
 		Sequential:     e.Sequential,
@@ -273,7 +257,6 @@ func (e Effective) CoreConfig() (core.Config, error) {
 func EffectiveOf(cfg core.Config) Effective {
 	return Effective{
 		Algorithm:  cfg.Algorithm.String(),
-		Layout:     cfg.Layout.String(),
 		DT:         cfg.DT,
 		Theta:      cfg.Params.Theta,
 		Eps:        cfg.Params.Eps,

@@ -18,7 +18,7 @@ func TestResolveDefaultsOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := Defaults()
-	if eff.Algorithm != d.Algorithm || eff.Layout != "flat" || eff.Theta != d.Theta ||
+	if eff.Algorithm != d.Algorithm || eff.Theta != d.Theta ||
 		eff.Eps != d.Eps || eff.G != d.G || eff.TreeReuse.RebuildEvery != 1 {
 		t.Errorf("defaults not applied: %+v", eff)
 	}
@@ -94,7 +94,6 @@ func TestResolveInvalidFields(t *testing.T) {
 		field string
 	}{
 		{"bad algorithm", &Config{Algorithm: "fmm", DT: 0.1}, "algorithm"},
-		{"bad layout", &Config{Layout: "diagonal", DT: 0.1}, "layout"},
 		{"zero dt", &Config{}, "dt"},
 		{"negative dt", &Config{DT: -1}, "dt"},
 		{"nan dt", &Config{DT: math.NaN()}, "dt"},
@@ -160,7 +159,7 @@ func TestResolvePipeline(t *testing.T) {
 
 func TestCoreConfigRoundTrip(t *testing.T) {
 	eff, err := Resolve(Legacy{}, &Config{
-		Algorithm: "bvh", Layout: "walk", DT: 0.25,
+		Algorithm: "bvh", DT: 0.25,
 		Theta: f(0.9), Eps: f(0), G: f(2),
 		TreeReuse: &TreeReuse{RebuildEvery: 3, RefitThreshold: 0.02},
 	})

@@ -6,7 +6,9 @@
 // its center of mass) and every near-field leaf body into a List — four
 // dense float64 slices — and a second pass evaluates each body of the
 // group against the list in a branch-free inner loop the compiler can keep
-// in registers and vectorize. This is the interaction-list batching of
+// in registers and vectorize. With octree quadrupoles, accepted nodes go
+// to a QuadList instead — ten columns, with its own kernel — while the
+// near field stays in the List. This is the interaction-list batching of
 // Tokuue & Ishiyama's many-core tree code and Bédorf et al.'s GPU octree
 // (and of the SpeedCodeBench flat-array reference), adapted to the
 // repository's grav.Params contract: the kernel excludes G (callers hoist
@@ -16,7 +18,7 @@
 // contributes exactly zero under the kernel convention (softened: f·d with
 // d = 0; unsoftened: the r² == 0 guard), so a group body appearing in its
 // own near field is harmless. This is what lets the inner loop drop the
-// `source == target` branch the per-body walk kernels carry.
+// `source == target` branch a per-body walk needs.
 package soa
 
 import (
@@ -116,3 +118,85 @@ func GetList() *List {
 
 // PutList returns a list to the pool.
 func PutList(l *List) { pool.Put(l) }
+
+// QuadList is the far-field interaction list of quadrupole-moment sources:
+// accepted nodes carrying their mass, center of mass and traceless
+// quadrupole tensor Q = Σ m·(3·r⊗r − |r|²·I) about that center, in ten
+// structure-of-arrays columns. It sits beside a List (which keeps the
+// near-field bodies and is unchanged), so configurations without
+// quadrupoles never touch it. The zero value is ready to use.
+type QuadList struct {
+	X, Y, Z, M                   []float64
+	Qxx, Qyy, Qzz, Qxy, Qxz, Qyz []float64
+}
+
+// Reset empties the list, retaining capacity.
+func (l *QuadList) Reset() {
+	l.X, l.Y, l.Z, l.M = l.X[:0], l.Y[:0], l.Z[:0], l.M[:0]
+	l.Qxx, l.Qyy, l.Qzz = l.Qxx[:0], l.Qyy[:0], l.Qzz[:0]
+	l.Qxy, l.Qxz, l.Qyz = l.Qxy[:0], l.Qxz[:0], l.Qyz[:0]
+}
+
+// Add appends one accepted node: its center of mass, mass and quadrupole
+// components.
+func (l *QuadList) Add(x, y, z, m, qxx, qyy, qzz, qxy, qxz, qyz float64) {
+	l.X = append(l.X, x)
+	l.Y = append(l.Y, y)
+	l.Z = append(l.Z, z)
+	l.M = append(l.M, m)
+	l.Qxx = append(l.Qxx, qxx)
+	l.Qyy = append(l.Qyy, qyy)
+	l.Qzz = append(l.Qzz, qzz)
+	l.Qxy = append(l.Qxy, qxy)
+	l.Qxz = append(l.Qxz, qxz)
+	l.Qyz = append(l.Qyz, qyz)
+}
+
+// Accel returns the acceleration (excluding G) the list's sources induce
+// at (xi, yi, zi): monopole plus quadrupole term of each. With the offset
+// d = com − x and r² = |d|² + ε², the field of one source is
+//
+//	a = m·d/r³ − Q·d/r⁵ + (5/2)·(dᵀQd)·d/r⁷
+//
+// (from Φ = −G·m/r − G·(dᵀQd)/(2r⁵)). Accepted nodes lie strictly
+// outside their targets' group box, so r² == 0 cannot occur in practice;
+// the guard keeps the unsoftened kernel total anyway.
+func (l *QuadList) Accel(xi, yi, zi, eps2 float64) (ax, ay, az float64) {
+	n := len(l.X)
+	xs, ys, zs, ms := l.X[:n], l.Y[:n], l.Z[:n], l.M[:n]
+	qxx, qyy, qzz := l.Qxx[:n], l.Qyy[:n], l.Qzz[:n]
+	qxy, qxz, qyz := l.Qxy[:n], l.Qxz[:n], l.Qyz[:n]
+	for j := range xs {
+		dx := xs[j] - xi
+		dy := ys[j] - yi
+		dz := zs[j] - zi
+		r2 := dx*dx + dy*dy + dz*dz + eps2
+		if r2 == 0 {
+			continue
+		}
+		inv := 1 / math.Sqrt(r2)
+		inv2 := inv * inv
+		inv3 := inv2 * inv
+		inv5 := inv3 * inv2
+		qdx := qxx[j]*dx + qxy[j]*dy + qxz[j]*dz
+		qdy := qxy[j]*dx + qyy[j]*dy + qyz[j]*dz
+		qdz := qxz[j]*dx + qyz[j]*dy + qzz[j]*dz
+		f := ms[j]*inv3 + 2.5*(dx*qdx+dy*qdy+dz*qdz)*inv5*inv2
+		ax += f*dx - qdx*inv5
+		ay += f*dy - qdy*inv5
+		az += f*dz - qdz*inv5
+	}
+	return
+}
+
+var quadPool = sync.Pool{New: func() any { return new(QuadList) }}
+
+// GetQuadList returns an empty quadrupole list from the pool.
+func GetQuadList() *QuadList {
+	l := quadPool.Get().(*QuadList)
+	l.Reset()
+	return l
+}
+
+// PutQuadList returns a quadrupole list to the pool.
+func PutQuadList(l *QuadList) { quadPool.Put(l) }

@@ -42,10 +42,12 @@ type JobRecord struct {
 	Eps        float64 `json:"eps,omitempty"`
 	G          float64 `json:"g,omitempty"`
 	Sequential bool    `json:"sequential,omitempty"`
-	// Layout, when non-empty, marks a resolved-style record: the physics
-	// fields above hold fully resolved values (explicit zeros are real),
-	// not the pre-config-object inherit-default spec values.
-	Layout         string  `json:"layout,omitempty"`
+	// Resolved marks a record whose physics fields above hold fully
+	// resolved values (explicit zeros are real), not the
+	// pre-config-object inherit-default spec values. Records written
+	// while the service still had a force `layout` field marked this by
+	// a non-empty layout; readLocked maps that onto Resolved.
+	Resolved       bool    `json:"resolved,omitempty"`
 	RebuildEvery   int     `json:"rebuild_every,omitempty"`
 	RefitThreshold float64 `json:"refit_threshold,omitempty"`
 	Steps          int     `json:"steps"`
@@ -196,10 +198,15 @@ func (js *JobStore) readLocked(id string) (JobRecord, error) {
 		return JobRecord{}, err
 	}
 	defer f.Close()
-	var rec JobRecord
-	if err := json.NewDecoder(io.LimitReader(f, 1<<20)).Decode(&rec); err != nil {
+	var doc struct {
+		JobRecord
+		LegacyLayout string `json:"layout"`
+	}
+	if err := json.NewDecoder(io.LimitReader(f, 1<<20)).Decode(&doc); err != nil {
 		return JobRecord{}, fmt.Errorf("job record: %w", err)
 	}
+	rec := doc.JobRecord
+	rec.Resolved = rec.Resolved || doc.LegacyLayout != ""
 	if err := validateJobRecord(rec, id); err != nil {
 		return JobRecord{}, err
 	}

@@ -52,11 +52,8 @@ type Meta struct {
 	// Tenant is the owning tenant's name and Scenario the scenario-pack
 	// name the session was created from; both are attribution echoes so a
 	// restart restores quota accounting and the config echo.
-	Tenant   string `json:"tenant,omitempty"`
-	Scenario string `json:"scenario,omitempty"`
-	// Layout is the force-evaluation layout ("flat" or "walk"); empty in
-	// checkpoints written before the field existed (those ran walk).
-	Layout       string `json:"layout,omitempty"`
+	Tenant       string `json:"tenant,omitempty"`
+	Scenario     string `json:"scenario,omitempty"`
 	RebuildEvery int    `json:"rebuild_every,omitempty"`
 	// RefitThreshold is the adaptive tree-reuse threshold (0 = rebuild on
 	// the RebuildEvery cadence).

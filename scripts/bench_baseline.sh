@@ -42,7 +42,7 @@ STEPS=5
 REPEATS=2
 WORKERS=2
 SEED=42
-# Large-N tree section: the interaction-list layout's target regime. The
+# Large-N tree section: the interaction-list kernels' target regime. The
 # O(N²) baselines are excluded to keep the runtime bounded.
 N_LARGE=100000
 STEPS_LARGE=2

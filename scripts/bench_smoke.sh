@@ -2,13 +2,13 @@
 # bench_smoke.sh — short seq-vs-par benchmark sanity check under the race
 # detector.
 #
-# Builds cmd/nbody-bench with -race and runs a two-step N=2048 fig5 pass
-# over the tree algorithms in both layouts. This is a correctness gate,
-# not a performance one: it drives the flat interaction-list kernels, the
-# walk kernels and the tree-reuse machinery through the real harness with
-# the race detector watching, and asserts only that every expected row
-# comes back with a positive throughput (race builds are ~10-20x slower,
-# so speedups are meaningless here and not checked).
+# Builds cmd/nbody-bench with -race and runs one two-step N=2048 fig5
+# pass over the tree algorithms. This is a correctness gate, not a
+# performance one: it drives the interaction-list kernels and the
+# tree-reuse machinery through the real harness with the race detector
+# watching, and asserts only that every expected row comes back with a
+# positive throughput (race builds are ~10-20x slower, so speedups are
+# meaningless here and not checked).
 #
 # Usage: ./scripts/bench_smoke.sh  (or: make bench-smoke)
 set -eu
@@ -25,30 +25,28 @@ trap 'rm -rf "$WORK"' EXIT INT TERM
 
 go build -race -o "$WORK/nbody-bench" ./cmd/nbody-bench
 
-for layout in flat walk; do
-    echo "bench-smoke: fig5 n=$N layout=$layout (race)"
-    "$WORK/nbody-bench" fig5 \
-        -n "$N" -steps "$STEPS" -repeats 1 -workers 2 -seed "$SEED" \
-        -algs "$ALGS" -layout "$layout" -csv >"$WORK/$layout.csv"
+echo "bench-smoke: fig5 n=$N (race)"
+"$WORK/nbody-bench" fig5 \
+    -n "$N" -steps "$STEPS" -repeats 1 -workers 2 -seed "$SEED" \
+    -algs "$ALGS" -csv >"$WORK/fig5.csv"
 
-    # Every algorithm must produce a seq and a par row with bodies/s > 0.
-    awk -v layout="$layout" 'BEGIN { FS = "," }
-    !header && $1 == "algorithm" { header = 1; next }
-    header && ($2 == "seq" || $2 == "par") {
-        if ($3 + 0 <= 0) {
-            printf "bench-smoke: %s/%s/%s: non-positive throughput %s\n", layout, $1, $2, $3 > "/dev/stderr"
-            bad = 1
-        }
-        rows++
+# Every algorithm must produce a seq and a par row with bodies/s > 0.
+awk 'BEGIN { FS = "," }
+!header && $1 == "algorithm" { header = 1; next }
+header && ($2 == "seq" || $2 == "par") {
+    if ($3 + 0 <= 0) {
+        printf "bench-smoke: %s/%s: non-positive throughput %s\n", $1, $2, $3 > "/dev/stderr"
+        bad = 1
     }
-    END {
-        if (rows != 4) {
-            printf "bench-smoke: layout %s: got %d rows, want 4 (octree+bvh x seq+par)\n", layout, rows > "/dev/stderr"
-            bad = 1
-        }
-        exit bad
-    }' "$WORK/$layout.csv"
-done
+    rows++
+}
+END {
+    if (rows != 4) {
+        printf "bench-smoke: got %d rows, want 4 (octree+bvh x seq+par)\n", rows > "/dev/stderr"
+        bad = 1
+    }
+    exit bad
+}' "$WORK/fig5.csv"
 
 # Adaptive tree reuse under race: the refit/rebuild equivalence and golden
 # accuracy tests drive the refit kernels and drift bookkeeping with the

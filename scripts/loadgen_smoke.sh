@@ -55,17 +55,18 @@ for key in '"p50_ms"' '"p95_ms"' '"p99_ms"' '"shed_rate"' '"server_5xx"'; do
     }
 done
 
-# sent >= ok + shed + failed over the totals row (awk pulls the totals
-# object, the last occurrence of each counter in the document).
+# sent >= ok + shed + failed + contention over the totals row (awk pulls
+# the totals object, the last occurrence of each counter in the document).
 awk '
-/"sent":/   { gsub(/[^0-9]/, "", $0); sent = $0 }
-/"ok":/     { gsub(/[^0-9]/, "", $0); ok = $0 }
-/"shed":/   { gsub(/[^0-9]/, "", $0); shed = $0 }
-/"failed":/ { gsub(/[^0-9]/, "", $0); failed = $0 }
+/"sent":/       { gsub(/[^0-9]/, "", $0); sent = $0 }
+/"ok":/         { gsub(/[^0-9]/, "", $0); ok = $0 }
+/"shed":/       { gsub(/[^0-9]/, "", $0); shed = $0 }
+/"failed":/     { gsub(/[^0-9]/, "", $0); failed = $0 }
+/"contention":/ { gsub(/[^0-9]/, "", $0); contention = $0 }
 END {
-    if (sent == "" || sent + 0 < ok + shed + failed) {
-        printf "loadgen-smoke: accounting broken: sent=%s ok=%s shed=%s failed=%s\n", \
-            sent, ok, shed, failed > "/dev/stderr"
+    if (sent == "" || contention == "" || sent + 0 < ok + shed + failed + contention) {
+        printf "loadgen-smoke: accounting broken: sent=%s ok=%s shed=%s failed=%s contention=%s\n", \
+            sent, ok, shed, failed, contention > "/dev/stderr"
         exit 1
     }
 }' "$REPORT"

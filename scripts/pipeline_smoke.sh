@@ -2,8 +2,9 @@
 # pipeline_smoke.sh — race-detector gate for pipelined stepping.
 #
 # Runs the phase-graph executor's own suite, the core-level
-# pipelined-vs-synchronous bit-exactness matrix (every algorithm, both
-# layouts, rebuild/cadence/refit paths, cancel-and-resume across paths),
+# pipelined-vs-synchronous bit-exactness matrix (every algorithm, the
+# octree's quadrupole lists, rebuild/cadence/refit paths,
+# cancel-and-resume across paths),
 # and the serve-level pipeline tests (multi-session overlap stress,
 # admission, quarantine, HTTP end to end) — all under -race, so the
 # phase tasks of concurrent sessions genuinely interleave on the shared
